@@ -9,6 +9,13 @@
 //! simulated-cycles-per-second, and writes the machine-readable summary
 //! to `BENCH_sim.json` at the repo root.
 //!
+//! The headline unit is **ns per simulated warp-instruction** of the
+//! sequential mode (`ns_per_warp_inst`, with its min and max over the
+//! samples and a geomean over apps): unlike Mcycles/s it does not swing
+//! with each app's IPC, so it compares apps and builds. The JSON records
+//! the host it was measured on (core count, `rustc -V`, git revision);
+//! `scripts/bench-compare.sh old.json new.json` compares two files.
+//!
 //! ```text
 //! cargo run --release -p catt-bench --bin bench_summary -- \
 //!     [--samples N] [--apps bfs,spmv] [--sms N] [--out path.json]
@@ -41,6 +48,11 @@ struct AppRow {
     /// Simulated cycles of one run (identical across modes by the
     /// equivalence suite; asserted here too).
     sim_cycles: u64,
+    /// Warp-instructions issued by one run.
+    warp_insts: u64,
+    /// Sequential-mode ns per warp-instruction: (min, median, max) over
+    /// the samples.
+    ns_per_warp_inst: (f64, f64, f64),
 }
 
 impl AppRow {
@@ -68,6 +80,28 @@ fn mode_config(sms: u32, parallel: bool) -> GpuConfig {
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// First stdout line of `program args`, if it runs.
+fn first_line(program: &str, args: &[&str]) -> Option<String> {
+    let out = std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()?;
+    let text = String::from_utf8(out.stdout).ok()?;
+    out.status
+        .success()
+        .then(|| text.lines().next().unwrap_or("").trim().to_string())
+}
+
+fn json_opt_string(v: &Option<String>) -> String {
+    v.as_deref()
+        .map_or("null".to_string(), |s| format!("\"{}\"", json_escape(s)))
+}
+
+fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
+    let (sum, n) = xs.fold((0.0, 0usize), |(s, n), x| (s + x.ln(), n + 1));
+    (sum / n as f64).exp()
 }
 
 fn main() {
@@ -141,10 +175,12 @@ fn main() {
             .collect();
         // One warm-up per mode (first-touch allocation, lazy statics),
         // doubling as the cross-mode cycle-equality check.
-        let warm: Vec<u64> = cfgs
+        let warm_stats: Vec<_> = cfgs
             .iter()
-            .map(|cfg| (w.run)(&kernels, cfg, false).cycles)
+            .map(|cfg| (w.run)(&kernels, cfg, false))
             .collect();
+        let warm: Vec<u64> = warm_stats.iter().map(|s| s.cycles).collect();
+        let warp_insts = warm_stats[0].instructions;
         assert_eq!(
             warm[0], warm[1],
             "{}: modes disagree on simulated cycles",
@@ -172,6 +208,13 @@ fn main() {
                 assert_eq!(stats.cycles, warm[0], "{}: non-deterministic", w.abbrev);
             }
         }
+        let mut ns: Vec<f64> = wall[0]
+            .iter()
+            .map(|ms| ms * 1e6 / warp_insts.max(1) as f64)
+            .collect();
+        // `median_f64` sorts in place, so the extremes are the ends.
+        let ns_median = median_f64(&mut ns);
+        let ns_per_warp_inst = (ns[0], ns_median, ns[ns.len() - 1]);
         let seq_ms = median_f64(&mut wall[0]);
         let row = AppRow {
             abbrev: w.abbrev,
@@ -183,10 +226,12 @@ fn main() {
             },
             prof_ms: median_f64(&mut wall[2]),
             sim_cycles: warm[0],
+            warp_insts,
+            ns_per_warp_inst,
         };
         println!(
             "  {:<6} seq {:>9.2} ms | par {:>9.2} ms | speedup {:>5.2}x | \
-             prof {:>9.2} ms ({:>4.2}x) | {:>8.1} Mcyc/s",
+             prof {:>9.2} ms ({:>4.2}x) | {:>8.1} Mcyc/s | {:>7.1} ns/warp-inst",
             row.abbrev,
             row.seq_ms,
             row.par_ms,
@@ -194,6 +239,7 @@ fn main() {
             row.prof_ms,
             row.prof_overhead(),
             row.mcycles_per_s(),
+            row.ns_per_warp_inst.1,
         );
         rows.push(row);
     }
@@ -202,17 +248,19 @@ fn main() {
         std::process::exit(2);
     }
 
-    let geomean_speedup =
-        (rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64).exp();
-    let geomean_overhead =
-        (rows.iter().map(|r| r.prof_overhead().ln()).sum::<f64>() / rows.len() as f64).exp();
+    let geomean_speedup = geomean(rows.iter().map(AppRow::speedup));
+    let geomean_overhead = geomean(rows.iter().map(AppRow::prof_overhead));
+    let geomean_ns = geomean(rows.iter().map(|r| r.ns_per_warp_inst.1));
     let total_seq: f64 = rows.iter().map(|r| r.seq_ms).sum();
     let total_par: f64 = rows.iter().map(|r| r.par_ms).sum();
     println!(
         "total: seq {total_seq:.1} ms | par {total_par:.1} ms | \
          geomean speedup {geomean_speedup:.2}x | \
-         geomean profiling overhead {geomean_overhead:.2}x"
+         geomean profiling overhead {geomean_overhead:.2}x | \
+         geomean {geomean_ns:.1} ns/warp-inst"
     );
+    let rustc = first_line("rustc", &["-V"]);
+    let git_rev = first_line("git", &["rev-parse", "HEAD"]);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -221,15 +269,22 @@ fn main() {
          \"host_parallelism\": {host_threads} }},\n"
     ));
     json.push_str(&format!(
+        "  \"host\": {{ \"nproc\": {host_threads}, \"rustc\": {}, \"git_rev\": {} }},\n",
+        json_opt_string(&rustc),
+        json_opt_string(&git_rev),
+    ));
+    json.push_str(&format!(
         "  \"speedup_valid\": {speedup_valid},\n  \
          \"geomean_speedup\": {geomean_speedup:.4},\n  \
-         \"geomean_profiling_overhead\": {geomean_overhead:.4},\n  \"apps\": [\n"
+         \"geomean_profiling_overhead\": {geomean_overhead:.4},\n  \
+         \"geomean_ns_per_warp_inst\": {geomean_ns:.2},\n  \"apps\": [\n"
     ));
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{ \"app\": \"{}\", \"seq_ms\": {:.3}, \"par_ms\": {:.3}, \
              \"speedup\": {:.4}, \"prof_ms\": {:.3}, \"prof_overhead\": {:.4}, \
-             \"sim_cycles\": {}, \"mcycles_per_s\": {:.1} }}{}\n",
+             \"sim_cycles\": {}, \"mcycles_per_s\": {:.1}, \"warp_insts\": {}, \
+             \"ns_per_warp_inst\": {:.2}, \"ns_min\": {:.2}, \"ns_max\": {:.2} }}{}\n",
             json_escape(r.abbrev),
             r.seq_ms,
             r.par_ms,
@@ -238,6 +293,10 @@ fn main() {
             r.prof_overhead(),
             r.sim_cycles,
             r.mcycles_per_s(),
+            r.warp_insts,
+            r.ns_per_warp_inst.1,
+            r.ns_per_warp_inst.0,
+            r.ns_per_warp_inst.2,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }

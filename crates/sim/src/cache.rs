@@ -11,6 +11,54 @@
 
 use crate::config::L1Config;
 
+/// Byte address → line address, with the line size resolved once: a
+/// shift when it is a power of two (every shipped geometry), a division
+/// otherwise.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LineMap {
+    bytes: u32,
+    shift: Option<u32>,
+}
+
+impl LineMap {
+    /// The map for `line_bytes`-byte lines.
+    pub(crate) fn new(line_bytes: u32) -> LineMap {
+        LineMap {
+            bytes: line_bytes,
+            shift: line_bytes
+                .is_power_of_two()
+                .then(|| line_bytes.trailing_zeros()),
+        }
+    }
+
+    /// Line address of `byte_addr`.
+    #[inline]
+    pub(crate) fn line(self, byte_addr: u32) -> u32 {
+        match self.shift {
+            Some(s) => byte_addr >> s,
+            None => byte_addr / self.bytes,
+        }
+    }
+}
+
+/// Unique line addresses touched by the `active` lanes of `addrs`, in
+/// first-occurrence lane order — the transactions one warp-wide global
+/// access issues, in issue order.
+pub(crate) fn coalesce(addrs: &[u32; 32], active: u32, map: LineMap) -> ([u32; 32], usize) {
+    let mut lines = [0u32; 32];
+    let mut n = 0;
+    for (l, &a) in addrs.iter().enumerate() {
+        if active & (1 << l) != 0 {
+            let la = map.line(a);
+            if !lines[..n].contains(&la) {
+                lines[n] = la;
+                n += 1;
+            }
+        }
+    }
+    (lines, n)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u32,
@@ -49,6 +97,12 @@ pub struct L1Cache {
     /// is probed on every simulated load and store.
     lines: Vec<Line>,
     assoc: usize,
+    /// `cfg.num_sets()`, resolved once.
+    sets: u32,
+    /// XOR-fold width in bits (`log2(sets)`) when the set count is a
+    /// power of two above 1; 0 selects the modulo index.
+    fold_bits: u32,
+    line_map: LineMap,
     use_counter: u64,
     /// Statistics: load accesses.
     pub accesses: u64,
@@ -67,6 +121,7 @@ impl L1Cache {
     /// Empty cache with the given geometry.
     pub fn new(cfg: L1Config) -> L1Cache {
         let assoc = (cfg.assoc as usize).max(1);
+        let sets = cfg.num_sets();
         let lines = vec![
             Line {
                 tag: 0,
@@ -74,12 +129,19 @@ impl L1Cache {
                 last_use: 0,
                 valid: false,
             };
-            cfg.num_sets() as usize * assoc
+            sets as usize * assoc
         ];
         L1Cache {
             cfg,
             lines,
             assoc,
+            sets,
+            fold_bits: if sets.is_power_of_two() && sets > 1 {
+                sets.trailing_zeros()
+            } else {
+                0
+            },
+            line_map: LineMap::new(cfg.line_bytes),
             use_counter: 0,
             accesses: 0,
             hits: 0,
@@ -94,25 +156,35 @@ impl L1Cache {
         self.cfg
     }
 
+    /// The byte-to-line address map of this cache's line size.
+    pub(crate) fn line_map(&self) -> LineMap {
+        self.line_map
+    }
+
     /// Set index with XOR-folded hashing. GPU L1s hash the set index so
     /// that power-of-two strides (ubiquitous in row-major matrix kernels)
     /// do not collapse onto a few sets; without this, a kernel like ATAX
     /// (row stride 2 KB) suffers pathological conflict misses that no real
-    /// device shows. The tag is the full line address.
+    /// device shows. Other set counts index by `line_addr % sets`. The
+    /// tag is the full line address.
+    ///
+    /// The geometry is resolved in [`L1Cache::new`]: a power-of-two set
+    /// count folds without dividing, any other takes one `%`.
+    #[inline]
     fn set_and_tag(&self, line_addr: u32) -> (usize, u32) {
-        let n = self.cfg.num_sets();
-        if n.is_power_of_two() && n > 1 {
-            let bits = n.trailing_zeros();
+        let idx = if self.fold_bits != 0 {
+            let mask = self.sets - 1;
             let mut x = line_addr;
             let mut idx = 0u32;
             while x != 0 {
-                idx ^= x & (n - 1);
-                x >>= bits;
+                idx ^= x & mask;
+                x >>= self.fold_bits;
             }
-            (idx as usize, line_addr)
+            idx
         } else {
-            ((line_addr % n) as usize, line_addr)
-        }
+            line_addr % self.sets
+        };
+        (idx as usize, line_addr)
     }
 
     /// Access a *load* to the 128-byte line containing `byte_addr` at time
@@ -128,7 +200,7 @@ impl L1Cache {
     ) -> AccessResult {
         self.accesses += 1;
         self.use_counter += 1;
-        let line_addr = byte_addr / self.cfg.line_bytes;
+        let line_addr = self.line_map.line(byte_addr);
         let (set_idx, tag) = self.set_and_tag(line_addr);
         let base = set_idx * self.assoc;
         let set = &mut self.lines[base..base + self.assoc];
@@ -199,7 +271,7 @@ impl L1Cache {
     pub fn access_store(&mut self, byte_addr: u32) -> u32 {
         self.use_counter += 1;
         self.offchip_requests += 1;
-        let line_addr = byte_addr / self.cfg.line_bytes;
+        let line_addr = self.line_map.line(byte_addr);
         let (set_idx, tag) = self.set_and_tag(line_addr);
         let base = set_idx * self.assoc;
         if let Some(line) = self.lines[base..base + self.assoc]
@@ -240,6 +312,104 @@ mod tests {
 
     fn fill_at(t: u64) -> impl FnOnce() -> u64 {
         move || t
+    }
+
+    /// The set index as defined by the geometry alone, recomputing
+    /// `num_sets()` and dividing on every call.
+    fn reference_set(cfg: L1Config, line_addr: u32) -> usize {
+        let n = cfg.num_sets();
+        if n.is_power_of_two() && n > 1 {
+            let bits = n.trailing_zeros();
+            let mut x = line_addr;
+            let mut idx = 0u32;
+            while x != 0 {
+                idx ^= x & (n - 1);
+                x >>= bits;
+            }
+            idx as usize
+        } else {
+            (line_addr % n) as usize
+        }
+    }
+
+    #[test]
+    fn precomputed_index_matches_the_num_sets_reference() {
+        // (size, line, assoc): power-of-two set counts, the non-power-of-
+        // two counts the shared-memory carve-outs produce (48 KB → 96 sets,
+        // 96 KB → 192), an odd prime count, one set, and a large L2 slice.
+        let geometries = [
+            (128 * 1024, 128, 4),
+            (32 * 1024, 128, 4),
+            (48 * 1024, 128, 4),
+            (96 * 1024, 128, 4),
+            (120 * 1024, 128, 4),
+            (7 * 128, 128, 1),
+            (256, 128, 2),
+            (256 * 1024, 128, 16),
+            (96 * 1024, 96, 4),
+        ];
+        let mut rng = catt_prng::Rng::seed(0x5e7);
+        for (size_bytes, line_bytes, assoc) in geometries {
+            let cfg = L1Config {
+                size_bytes,
+                line_bytes,
+                assoc,
+            };
+            let c = L1Cache::new(cfg);
+            let mut addrs: Vec<u32> = vec![0, 1, 95, 96, 191, 192, u32::MAX, u32::MAX - 1];
+            addrs.extend((0..4096).map(|_| rng.next_u32()));
+            addrs.extend(0..2048);
+            for a in addrs {
+                let (set, tag) = c.set_and_tag(a);
+                assert_eq!(set, reference_set(cfg, a), "{cfg:?} line {a}");
+                assert_eq!(tag, a);
+                assert_eq!(c.line_map().line(a), a / line_bytes, "{cfg:?} byte {a}");
+            }
+        }
+    }
+
+    /// `coalesce` returns the unique lines of the active lanes in
+    /// first-occurrence order, as a dividing `Vec` dedup does: random
+    /// masks, monotone, broadcast, strided and shuffled addresses, and a
+    /// non-power-of-two line size (the division branch of [`LineMap`]).
+    #[test]
+    fn coalesce_matches_the_dividing_reference() {
+        let mut rng = catt_prng::Rng::seed(0xc0a1);
+        for case in 0..4000 {
+            let line_bytes = if case % 5 == 0 { 96 } else { 128 };
+            let active = match case % 4 {
+                0 => u32::MAX,
+                1 => rng.next_u32(),
+                2 => u32::MAX >> rng.range_u32(0, 32),
+                _ => 1 << rng.range_u32(0, 32),
+            };
+            let base = rng.next_u32() >> rng.range_u32(0, 32);
+            let mut addrs = [0u32; 32];
+            for (l, a) in addrs.iter_mut().enumerate() {
+                let l = l as u32;
+                *a = match case % 7 {
+                    0 => base.wrapping_add(4 * l),
+                    1 => base,
+                    2 => base.wrapping_add(l * rng.range_u32(0, 300)),
+                    3 => base.wrapping_add(4 * (31 - l)),
+                    4 => base.wrapping_add(4 * ((l * 7) % 32)),
+                    5 => rng.next_u32(),
+                    _ => base.wrapping_add(128 * (l / 8) + 4 * (l % 8)),
+                };
+            }
+            let mut want: Vec<u32> = Vec::new();
+            for (l, &a) in addrs.iter().enumerate() {
+                if active & (1 << l) != 0 && !want.contains(&(a / line_bytes)) {
+                    want.push(a / line_bytes);
+                }
+            }
+            let (lines, n) = coalesce(&addrs, active, LineMap::new(line_bytes));
+            assert_eq!(
+                &lines[..n],
+                &want[..],
+                "case {case}: {addrs:?} mask {active:#x}"
+            );
+        }
     }
 
     #[test]

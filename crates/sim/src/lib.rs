@@ -37,6 +37,7 @@
 //! assert_eq!(mem.read_f32(buf)[0], 2.0);
 //! ```
 
+mod alu;
 pub mod bytecode;
 pub mod cache;
 pub mod config;

@@ -21,7 +21,8 @@
 //!   block is parked (arrival-count semantics, so warps that exited early
 //!   never deadlock the block).
 
-use crate::bytecode::{builtin_reg, CmpOp, FBinOp, FUnOp, IBinOp, Op, Program};
+use crate::alu::{self, Row};
+use crate::bytecode::{builtin_reg, FBinOp, FUnOp, Op, Program};
 use crate::cache::L1Cache;
 use crate::config::GpuConfig;
 use crate::error::SimError;
@@ -468,6 +469,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
         soa_pc: std::mem::take(&mut ws.pc),
         age: std::mem::take(&mut ws.age),
         ready: std::mem::take(&mut ws.ready),
+        next_ready: std::mem::take(&mut ws.next_ready),
         num_regs: program.num_regs as usize,
         warps: std::mem::take(&mut ws.warps),
         tbs: std::mem::take(&mut ws.tbs),
@@ -503,6 +505,7 @@ fn run_sm<M: DeviceMem, S: ProfileSink>(
     ws.pc = std::mem::take(&mut sm.soa_pc);
     ws.age = std::mem::take(&mut sm.age);
     ws.ready = std::mem::take(&mut sm.ready);
+    ws.next_ready = std::mem::take(&mut sm.next_ready);
     ws.warps = std::mem::take(&mut sm.warps);
     ws.tbs = std::mem::take(&mut sm.tbs);
     ws.last_issued = std::mem::take(&mut sm.last_issued);
@@ -552,6 +555,17 @@ fn decode_access(program: &Program) -> Vec<OpAccess> {
             a
         })
         .collect()
+}
+
+/// Scoreboard readiness of a warp's next op, cached per warp so the
+/// ready-check is O(1) (see [`Sm::issue_time`]).
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
+struct NextReady {
+    /// Max scoreboard cycle over the op's source and destination
+    /// registers.
+    regs: u64,
+    /// Whether the op also waits for the L1D port.
+    port: bool,
 }
 
 /// Per-warp-in-block initial state shared by every dispatch of the launch.
@@ -624,8 +638,9 @@ impl DispatchTables {
 /// The scheduler-hot per-warp state lives here struct-of-arrays, not in
 /// [`Warp`]: `wake` (next candidate issue cycle, `u64::MAX` for warps
 /// that are not Ready), `pc` (mirror of `Warp::pc`), `age` (dispatch age
-/// for GTO arbitration), and `ready` (the register scoreboard, flattened
-/// to `nwarps × num_regs`). The per-cycle ready-scan and skip-ahead
+/// for GTO arbitration), `ready` (the register scoreboard, flattened
+/// to `nwarps × num_regs`) and `next_ready` (the scoreboard reduced to
+/// each warp's next op). The per-cycle ready-scan and skip-ahead
 /// min-reduction touch only these contiguous arrays; the heap-heavy
 /// `Warp` structs are consulted only at issue time.
 #[derive(Default)]
@@ -643,6 +658,11 @@ struct SmWorkspace {
     /// Flattened scoreboard: `ready[i * num_regs + r]` is the cycle at
     /// which warp `i`'s register `r` becomes available.
     ready: Vec<u64>,
+    /// `next_ready[i]`: warp `i`'s scoreboard row reduced over the
+    /// registers of the op at its pc. Row `i` is written only by warp
+    /// `i`'s own issue and by dispatch, and both refresh this entry, so
+    /// it never goes stale.
+    next_ready: Vec<NextReady>,
     tbs: Vec<TbSlot>,
     last_issued: Vec<Option<usize>>,
 }
@@ -672,6 +692,8 @@ impl SmWorkspace {
         self.age.resize(nwarps, 0);
         self.ready.clear();
         self.ready.resize(nwarps * num_regs, 0);
+        self.next_ready.clear();
+        self.next_ready.resize(nwarps, NextReady::default());
         let smem_words = (program.smem_bytes as usize).div_ceil(4);
         if self.tbs.len() != resident as usize
             || self.tbs.first().is_some_and(|t| t.smem.len() != smem_words)
@@ -729,6 +751,9 @@ struct Sm<'a, M: DeviceMem, S: ProfileSink> {
     age: Vec<u64>,
     /// Flattened scoreboard: `ready[i * num_regs + r]`.
     ready: Vec<u64>,
+    /// Per-warp scoreboard readiness of the next op (see
+    /// [`SmWorkspace::next_ready`]).
+    next_ready: Vec<NextReady>,
     num_regs: usize,
     /// Per-scheduler last-issued warp (greedy part of GTO).
     last_issued: Vec<Option<usize>>,
@@ -979,18 +1004,14 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         any_throttled = true;
                         continue;
                     }
-                    let a = &self.access[self.soa_pc[i] as usize];
-                    let mut reg_t = self.cycle;
-                    let base = i * self.num_regs;
-                    for &r in &a.regs[..a.n as usize] {
-                        reg_t = reg_t.max(self.ready[base + r as usize]);
-                    }
-                    let port_t = if a.uses_l1_port { self.l1_port_free } else { 0 };
+                    let next = self.next_ready[i];
+                    let reg_t = self.cycle.max(next.regs);
+                    let port_t = if next.port { self.l1_port_free } else { 0 };
                     let t = reg_t.max(port_t);
                     // Memory if the wait is on the L1 port, or if it ends at or
                     // before the warp's latest outstanding-load completion (a
                     // register dependency on load data); otherwise scoreboard.
-                    let memory = (a.uses_l1_port && port_t >= reg_t && port_t > self.cycle)
+                    let memory = (next.port && port_t >= reg_t && port_t > self.cycle)
                         || t <= self.prof_load_ready[i];
                     let reason = if memory {
                         StallReason::Memory
@@ -1091,6 +1112,7 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
             for (r, image) in &tables.params {
                 w.regs[*r as usize] = *image;
             }
+            self.refresh_next_ready(lo + wi);
         }
         // The fresh warps are issuable now: drop every scheduler's
         // cached next-issue bound.
@@ -1146,12 +1168,14 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
     // ----- scheduling ----------------------------------------------------
 
     /// Re-establish the SoA invariants for warp `w` after it issued: sync
-    /// the pc mirror, reset its wake time (still schedulable this cycle if
-    /// Ready, `u64::MAX` otherwise), and raise the dirty flags for the
-    /// state transitions that can unlock other warps or TB slots.
+    /// the pc mirror and the next op's readiness, reset its wake time
+    /// (still schedulable this cycle if Ready, `u64::MAX` otherwise), and
+    /// raise the dirty flags for the state transitions that can unlock
+    /// other warps or TB slots.
     #[inline]
     fn sync_after_issue(&mut self, w: usize) {
         self.soa_pc[w] = self.warps[w].pc;
+        self.refresh_next_ready(w);
         match self.warps[w].state {
             WarpState::Ready => self.wake[w] = self.cycle,
             WarpState::AtBarrier => {
@@ -1172,23 +1196,48 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         }
     }
 
+    /// Refresh `next_ready[w]`. Called after every write to warp `w`'s
+    /// scoreboard row — the warp's own issue and its dispatch.
+    #[inline]
+    fn refresh_next_ready(&mut self, w: usize) {
+        self.next_ready[w] = self.scoreboard_next_ready(w);
+    }
+
+    /// Warp `w`'s scoreboard row reduced over the registers of the op at
+    /// its pc (memoized [`OpAccess`]): what `next_ready[w]` caches.
+    #[inline]
+    fn scoreboard_next_ready(&self, w: usize) -> NextReady {
+        let a = &self.access[self.soa_pc[w] as usize];
+        let base = w * self.num_regs;
+        let mut regs = 0;
+        for &r in &a.regs[..a.n as usize] {
+            regs = regs.max(self.ready[base + r as usize]);
+        }
+        NextReady {
+            regs,
+            port: a.uses_l1_port,
+        }
+    }
+
     /// Earliest cycle at which Ready warp `i` could issue its next
-    /// instruction. Consults only the SoA state (pc mirror, flattened
-    /// scoreboard, memoized [`OpAccess`]) — this runs on every
-    /// ready-check of every scheduler and must not touch `Warp`.
+    /// instruction: O(1) over the cached [`NextReady`] and the L1D port.
+    /// This runs on every ready-check of every scheduler and must not
+    /// touch `Warp`.
     #[inline]
     fn issue_time(&self, i: usize) -> u64 {
         debug_assert_eq!(self.warps[i].state, WarpState::Ready);
-        let a = &self.access[self.soa_pc[i] as usize];
-        let mut t = self.cycle;
-        let base = i * self.num_regs;
-        for &r in &a.regs[..a.n as usize] {
-            t = t.max(self.ready[base + r as usize]);
+        let next = self.next_ready[i];
+        debug_assert_eq!(
+            next,
+            self.scoreboard_next_ready(i),
+            "next_ready[{i}] is stale: a scoreboard write skipped refresh_next_ready"
+        );
+        let t = self.cycle.max(next.regs);
+        if next.port {
+            t.max(self.l1_port_free)
+        } else {
+            t
         }
-        if a.uses_l1_port {
-            t = t.max(self.l1_port_free);
-        }
-        t
     }
 
     /// GTO pick for one scheduler: keep issuing the last warp while it is
@@ -1305,116 +1354,60 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         self.stats.instructions += 1;
         let pc = self.warps[wi].pc as usize;
         let op = self.program.ops[pc];
-        // ALU results are written only for *active* lanes: inactive lanes
-        // (diverged, loop-finished, or returned) must not mutate their
-        // registers, exactly as predicated execution works in hardware.
-        // `$f` computes the lane value from (register file, lane index).
-        // Every lane function is total (division guards zero, float ops
-        // never trap), so the value is computed for all 32 lanes without
-        // branching — a loop the compiler can vectorize — and the active
-        // mask is applied at the write. A fully-active warp (the common
-        // case) takes one array store.
+        // Each ALU op reads its source registers once as whole rows and
+        // runs one lane-vector kernel from `crate::alu` (opcode dispatch
+        // outside the lane loop); `write_alu` applies the active mask.
         macro_rules! alu {
-            ($dst:expr, $sfu:expr, $f:expr) => {{
-                let w = &mut self.warps[wi];
-                let active = w.active;
-                let f = $f;
-                let mut vals = [0u32; 32];
-                for l in 0..32 {
-                    vals[l] = f(&w.regs, l);
-                }
-                let d = &mut w.regs[$dst as usize];
-                if active == u32::MAX {
-                    *d = vals;
-                } else {
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            d[l] = vals[l];
-                        }
-                    }
-                }
-                self.finish_alu(wi, $dst, $sfu);
+            ($dst:expr, $sfu:expr, |$r:ident| $vals:expr) => {{
+                let $r = &self.warps[wi].regs;
+                let vals: Row = $vals;
+                self.write_alu(wi, $dst, $sfu, &vals);
             }};
         }
-        type R = Vec<[u32; 32]>;
         match op {
-            Op::MovImm { dst, imm } => {
-                alu!(dst, false, |_r: &R, _l: usize| imm)
-            }
-            Op::Mov { dst, src } => {
-                alu!(dst, false, |r: &R, l: usize| r[src as usize][l])
-            }
+            Op::MovImm { dst, imm } => alu!(dst, false, |_r| [imm; 32]),
+            Op::Mov { dst, src } => alu!(dst, false, |r| r[src as usize]),
             Op::IBin { op, dst, a, b } => {
-                alu!(dst, false, |r: &R, l: usize| ibin(
+                alu!(dst, false, |r| alu::ibin_lanes(
                     op,
-                    r[a as usize][l],
-                    r[b as usize][l]
+                    &r[a as usize],
+                    &r[b as usize]
                 ))
             }
             Op::FBin { op, dst, a, b } => {
-                alu!(dst, op == FBinOp::Pow, |r: &R, l: usize| fbin(
+                alu!(dst, op == FBinOp::Pow, |r| alu::fbin_lanes(
                     op,
-                    r[a as usize][l],
-                    r[b as usize][l]
+                    &r[a as usize],
+                    &r[b as usize]
                 ))
             }
             Op::FUn { op, dst, a } => {
-                alu!(
-                    dst,
-                    op != FUnOp::Neg && op != FUnOp::Abs,
-                    |r: &R, l: usize| { fun(op, r[a as usize][l]) }
-                )
+                alu!(dst, op != FUnOp::Neg && op != FUnOp::Abs, |r| {
+                    alu::fun_lanes(op, &r[a as usize])
+                })
             }
-            Op::INeg { dst, a } => {
-                alu!(
-                    dst,
-                    false,
-                    |r: &R, l: usize| (r[a as usize][l] as i32).wrapping_neg() as u32
-                )
-            }
-            Op::IAbs { dst, a } => {
-                alu!(
-                    dst,
-                    false,
-                    |r: &R, l: usize| (r[a as usize][l] as i32).wrapping_abs() as u32
-                )
-            }
-            Op::Not { dst, a } => {
-                alu!(dst, false, |r: &R, l: usize| (r[a as usize][l] == 0) as u32)
-            }
+            Op::INeg { dst, a } => alu!(dst, false, |r| alu::map1(&r[a as usize], alu::ineg)),
+            Op::IAbs { dst, a } => alu!(dst, false, |r| alu::map1(&r[a as usize], alu::iabs)),
+            Op::Not { dst, a } => alu!(dst, false, |r| alu::map1(&r[a as usize], alu::not)),
             Op::Cmp {
                 op,
                 float,
                 dst,
                 a,
                 b,
-            } => {
-                alu!(dst, false, |r: &R, l: usize| cmp(
-                    op,
-                    float,
-                    r[a as usize][l],
-                    r[b as usize][l]
-                ) as u32)
-            }
-            Op::Sel { dst, c, a, b } => {
-                alu!(dst, false, |r: &R, l: usize| if r[c as usize][l] != 0 {
-                    r[a as usize][l]
-                } else {
-                    r[b as usize][l]
-                })
-            }
-            Op::CvtIF { dst, a } => {
-                alu!(dst, false, |r: &R, l: usize| (r[a as usize][l] as i32
-                    as f32)
-                    .to_bits())
-            }
-            Op::CvtFI { dst, a } => {
-                alu!(
-                    dst,
-                    false,
-                    |r: &R, l: usize| (f32::from_bits(r[a as usize][l]) as i32) as u32
-                )
-            }
+            } => alu!(dst, false, |r| alu::cmp_lanes(
+                op,
+                float,
+                &r[a as usize],
+                &r[b as usize]
+            )),
+            Op::Sel { dst, c, a, b } => alu!(dst, false, |r| alu::sel_lanes(
+                &r[c as usize],
+                &r[a as usize],
+                &r[b as usize]
+            )),
+            Op::CvtIF { dst, a } => alu!(dst, false, |r| alu::map1(&r[a as usize], alu::cvt_if)),
+            Op::CvtFI { dst, a } => alu!(dst, false, |r| alu::map1(&r[a as usize], alu::cvt_fi)),
             Op::Ldg { dst, addr } => self.exec_ldg(wi, dst, addr)?,
             Op::Stg { src, addr } => self.exec_stg(wi, src, addr)?,
             Op::Lds { dst, addr } => {
@@ -1437,22 +1430,10 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
                         }));
                     }
                 }
-                // Branchless like the `alu!` body: load every lane (a
-                // clamped read is total), mask at the write.
-                let mut vals = [0u32; 32];
-                for l in 0..32 {
-                    vals[l] = smem.get(addrs[l] as usize / 4).copied().unwrap_or(0);
-                }
-                let d = &mut w.regs[dst as usize];
-                if active == u32::MAX {
-                    *d = vals;
-                } else {
-                    for l in 0..32 {
-                        if active & (1 << l) != 0 {
-                            d[l] = vals[l];
-                        }
-                    }
-                }
+                // Branchless like the ALU ops: load every lane (a clamped
+                // read is total), mask at the write.
+                let vals = alu::map1(&addrs, |a| smem.get(a as usize / 4).copied().unwrap_or(0));
+                alu::write_masked(&mut w.regs[dst as usize], &vals, active);
                 self.ready[wi * self.num_regs + dst as usize] =
                     self.cycle + self.config.latencies.shared;
                 self.l1_port_free = self.l1_port_free.max(self.cycle) + 1;
@@ -1638,7 +1619,12 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         Ok(())
     }
 
-    fn finish_alu(&mut self, wi: usize, dst: u16, sfu: bool) {
+    /// Commit an ALU result row: masked register write, scoreboard entry
+    /// (`sfu` selects the transcendental latency), pc advance.
+    #[inline]
+    fn write_alu(&mut self, wi: usize, dst: u16, sfu: bool, vals: &Row) {
+        let w = &mut self.warps[wi];
+        alu::write_masked(&mut w.regs[dst as usize], vals, w.active);
         let lat = if sfu {
             self.config.latencies.sfu
         } else {
@@ -1648,23 +1634,11 @@ impl<M: DeviceMem, S: ProfileSink> Sm<'_, M, S> {
         self.warps[wi].pc += 1;
     }
 
-    /// Unique 128-byte line base addresses touched by the active lanes.
+    /// Unique line addresses touched by the active lanes, in lane order
+    /// (see [`crate::cache::coalesce`]).
     fn coalesce(&self, wi: usize, addr_reg: u16) -> ([u32; 32], usize) {
         let w = &self.warps[wi];
-        let addrs = w.regs[addr_reg as usize];
-        let line = self.config.l1_line_bytes;
-        let mut lines = [0u32; 32];
-        let mut n = 0;
-        for (l, &a) in addrs.iter().enumerate() {
-            if w.active & (1 << l) != 0 {
-                let la = a / line;
-                if !lines[..n].contains(&la) {
-                    lines[n] = la;
-                    n += 1;
-                }
-            }
-        }
-        (lines, n)
+        crate::cache::coalesce(&w.regs[addr_reg as usize], w.active, self.cache.line_map())
     }
 
     /// Sanitize one warp's global access (sanitize mode only): every
@@ -1824,121 +1798,4 @@ fn shared_oob_lane(addrs: &[u32; 32], active: u32, smem_words: usize) -> Option<
         }
     }
     None
-}
-
-// ----- lane ALU semantics ---------------------------------------------------
-
-fn ibin(op: IBinOp, a: u32, b: u32) -> u32 {
-    let (ia, ib) = (a as i32, b as i32);
-    match op {
-        IBinOp::Add => ia.wrapping_add(ib) as u32,
-        IBinOp::Sub => ia.wrapping_sub(ib) as u32,
-        IBinOp::Mul => ia.wrapping_mul(ib) as u32,
-        IBinOp::Div => {
-            if ib == 0 {
-                0
-            } else {
-                ia.wrapping_div(ib) as u32
-            }
-        }
-        IBinOp::Rem => {
-            if ib == 0 {
-                0
-            } else {
-                ia.wrapping_rem(ib) as u32
-            }
-        }
-        IBinOp::Min => ia.min(ib) as u32,
-        IBinOp::Max => ia.max(ib) as u32,
-        IBinOp::Shl => ia.wrapping_shl(b & 31) as u32,
-        IBinOp::Shr => ia.wrapping_shr(b & 31) as u32,
-        IBinOp::And => a & b,
-        IBinOp::Or => a | b,
-        IBinOp::Xor => a ^ b,
-    }
-}
-
-fn fbin(op: FBinOp, a: u32, b: u32) -> u32 {
-    let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-    let r = match op {
-        FBinOp::Add => fa + fb,
-        FBinOp::Sub => fa - fb,
-        FBinOp::Mul => fa * fb,
-        FBinOp::Div => fa / fb,
-        FBinOp::Min => fa.min(fb),
-        FBinOp::Max => fa.max(fb),
-        FBinOp::Pow => fa.powf(fb),
-    };
-    r.to_bits()
-}
-
-fn fun(op: FUnOp, a: u32) -> u32 {
-    let fa = f32::from_bits(a);
-    let r = match op {
-        FUnOp::Neg => -fa,
-        FUnOp::Sqrt => fa.sqrt(),
-        FUnOp::Exp => fa.exp(),
-        FUnOp::Log => fa.ln(),
-        FUnOp::Abs => fa.abs(),
-        FUnOp::Sin => fa.sin(),
-        FUnOp::Cos => fa.cos(),
-    };
-    r.to_bits()
-}
-
-fn cmp(op: CmpOp, float: bool, a: u32, b: u32) -> bool {
-    if float {
-        let (fa, fb) = (f32::from_bits(a), f32::from_bits(b));
-        match op {
-            CmpOp::Lt => fa < fb,
-            CmpOp::Le => fa <= fb,
-            CmpOp::Gt => fa > fb,
-            CmpOp::Ge => fa >= fb,
-            CmpOp::Eq => fa == fb,
-            CmpOp::Ne => fa != fb,
-        }
-    } else {
-        let (ia, ib) = (a as i32, b as i32);
-        match op {
-            CmpOp::Lt => ia < ib,
-            CmpOp::Le => ia <= ib,
-            CmpOp::Gt => ia > ib,
-            CmpOp::Ge => ia >= ib,
-            CmpOp::Eq => ia == ib,
-            CmpOp::Ne => ia != ib,
-        }
-    }
-}
-
-#[cfg(test)]
-mod lane_tests {
-    use super::*;
-
-    #[test]
-    fn integer_division_by_zero_is_zero() {
-        assert_eq!(ibin(IBinOp::Div, 7, 0), 0);
-        assert_eq!(ibin(IBinOp::Rem, 7, 0), 0);
-    }
-
-    #[test]
-    fn signed_semantics() {
-        assert_eq!(ibin(IBinOp::Div, (-7i32) as u32, 2) as i32, -3);
-        assert_eq!(ibin(IBinOp::Min, (-1i32) as u32, 1) as i32, -1);
-        assert_eq!(ibin(IBinOp::Shr, (-8i32) as u32, 1) as i32, -4);
-    }
-
-    #[test]
-    fn float_bit_roundtrip() {
-        let r = fbin(FBinOp::Mul, 2.5f32.to_bits(), 4.0f32.to_bits());
-        assert_eq!(f32::from_bits(r), 10.0);
-        let r = fun(FUnOp::Sqrt, 9.0f32.to_bits());
-        assert_eq!(f32::from_bits(r), 3.0);
-    }
-
-    #[test]
-    fn comparisons() {
-        assert!(cmp(CmpOp::Lt, false, (-1i32) as u32, 0));
-        assert!(!cmp(CmpOp::Lt, true, 1.0f32.to_bits(), (-2.0f32).to_bits()));
-        assert!(cmp(CmpOp::Ne, true, 1.0f32.to_bits(), 2.0f32.to_bits()));
-    }
 }

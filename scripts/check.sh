@@ -26,7 +26,7 @@ echo "==> guard rails: no panic!/bare assert! on the simulator execution path"
 # The execution path must fail through SimError, not panics. Strip test
 # modules (everything from the #[cfg(test)] marker on) before grepping;
 # debug_assert! stays allowed (compiled out of release).
-for f in crates/sim/src/sm.rs crates/sim/src/mem.rs crates/sim/src/warp.rs \
+for f in crates/sim/src/sm.rs crates/sim/src/alu.rs crates/sim/src/mem.rs crates/sim/src/warp.rs \
          crates/sim/src/lib.rs crates/sim/src/cache.rs crates/sim/src/profile.rs \
          crates/sim/src/sanitize.rs crates/verify/src/lib.rs \
          crates/verify/src/generate.rs crates/verify/src/oracle.rs \

@@ -221,13 +221,20 @@ fn profile_main(args: &[String]) -> ExitCode {
     use catt_repro::workloads::{harness, registry};
 
     let target = &args[0];
-    let mut l1_kb: Option<u32> = None;
+    let mut l1_bytes: Option<u32> = None;
     let mut trace_out: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--l1" if i + 1 < args.len() => {
-                l1_kb = args[i + 1].parse().ok();
+                let Some(bytes) = parse_l1_kb(&args[i + 1]) else {
+                    eprintln!(
+                        "catt profile: bad --l1 value `{}` (want a size in KB)",
+                        args[i + 1]
+                    );
+                    return usage();
+                };
+                l1_bytes = Some(bytes);
                 i += 2;
             }
             "--trace-out" if i + 1 < args.len() => {
@@ -254,8 +261,8 @@ fn profile_main(args: &[String]) -> ExitCode {
         }
     };
     let mut config = harness::eval_config_max_l1d();
-    if let Some(kb) = l1_kb {
-        config.l1_cap_bytes = Some(kb * 1024);
+    if l1_bytes.is_some() {
+        config.l1_cap_bytes = l1_bytes;
     }
 
     // How many launches get a full per-launch report (iterative apps can
@@ -358,13 +365,20 @@ fn tune_main(args: &[String]) -> ExitCode {
     {
         opts.min_l2_gain = g;
     }
-    let mut l1_kb: Option<u32> = None;
+    let mut l1_bytes: Option<u32> = None;
     let mut out_path: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--l1" if i + 1 < args.len() => {
-                l1_kb = args[i + 1].parse().ok();
+                let Some(bytes) = parse_l1_kb(&args[i + 1]) else {
+                    eprintln!(
+                        "catt tune: bad --l1 value `{}` (want a size in KB)",
+                        args[i + 1]
+                    );
+                    return usage();
+                };
+                l1_bytes = Some(bytes);
                 i += 2;
             }
             "--seed" if i + 1 < args.len() => {
@@ -412,8 +426,8 @@ fn tune_main(args: &[String]) -> ExitCode {
         found
     };
     let mut config = harness::eval_config_max_l1d();
-    if let Some(kb) = l1_kb {
-        config.l1_cap_bytes = Some(kb * 1024);
+    if l1_bytes.is_some() {
+        config.l1_cap_bytes = l1_bytes;
     }
 
     let summary = tune_workloads(&workloads, &config, &opts);
@@ -449,6 +463,13 @@ fn parse_dims(s: &str) -> Option<Dim3> {
         2 => Some(Dim3::xy(parts[0].parse().ok()?, parts[1].parse().ok()?)),
         _ => None,
     }
+}
+
+/// Parse an `--l1 <KB>` value into an L1D cap in bytes. A malformed
+/// number (`32k`) or a size whose byte count overflows `u32` is rejected
+/// rather than silently running at the maximum L1D.
+fn parse_l1_kb(v: &str) -> Option<u32> {
+    v.parse::<u32>().ok()?.checked_mul(1024)
 }
 
 fn parse_launch(spec: &str) -> Option<(String, LaunchConfig)> {
@@ -525,7 +546,7 @@ fn main() -> ExitCode {
     }
     let path = &argv[1];
     let mut launches: Vec<(String, LaunchConfig)> = Vec::new();
-    let mut l1_kb: Option<u32> = None;
+    let mut l1_bytes: Option<u32> = None;
     let mut fuel: Option<u64> = None;
     let mut sm_parallel: Option<bool> = None;
     let mut out_path: Option<String> = None;
@@ -542,7 +563,11 @@ fn main() -> ExitCode {
                 i += 2;
             }
             "--l1" if i + 1 < argv.len() => {
-                l1_kb = argv[i + 1].parse().ok();
+                let Some(bytes) = parse_l1_kb(&argv[i + 1]) else {
+                    eprintln!("catt: bad --l1 value `{}` (want a size in KB)", argv[i + 1]);
+                    return usage();
+                };
+                l1_bytes = Some(bytes);
                 i += 2;
             }
             "--fuel" if i + 1 < argv.len() => {
@@ -587,8 +612,8 @@ fn main() -> ExitCode {
         }
     };
     let mut config = GpuConfig::titan_v_1sm();
-    if let Some(kb) = l1_kb {
-        config.l1_cap_bytes = Some(kb * 1024);
+    if l1_bytes.is_some() {
+        config.l1_cap_bytes = l1_bytes;
     }
     if let Some(n) = fuel {
         config.sim_fuel = Some(n);

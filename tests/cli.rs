@@ -160,6 +160,42 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+/// A typo'd or overflowing `--l1` must fail with the usage exit code
+/// (2), naming the bad value, instead of silently running at max L1D.
+#[test]
+fn bad_l1_values_are_rejected() {
+    let f = demo_file();
+    let file = f.0.to_str().unwrap();
+    // 4194304 KB = 4 GiB: the byte count overflows u32.
+    for bad in ["32k", "-1", "", "4194304", "99999999999"] {
+        let cases: [Vec<&str>; 4] = [
+            vec!["analyze", file, "--launch", "walk=2x256", "--l1", bad],
+            vec!["compile", file, "--launch", "walk=2x256", "--l1", bad],
+            vec!["profile", "HM", "--l1", bad],
+            vec!["tune", "HM", "--l1", bad],
+        ];
+        for args in cases {
+            let out = catt().args(&args).output().unwrap();
+            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("bad --l1 value `{bad}`")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+    // The largest representable cap still parses (4194303 KB < 4 GiB).
+    let out = catt()
+        .args(["analyze", file, "--launch", "walk=2x256", "--l1", "4194303"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn fuzz_small_campaign_is_deterministic_and_clean() {
     let run = || {
